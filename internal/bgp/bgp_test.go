@@ -243,6 +243,50 @@ func TestRegistryIdempotentOps(t *testing.T) {
 	}
 }
 
+// TestRegistryAwait checks Await wakes on an announce and on a withdraw:
+// each waiter signals after its first (false) evaluation, by which point
+// it is registered for the next change, and only then is the change made.
+func TestRegistryAwait(t *testing.T) {
+	r := NewRegistry()
+	p := netip.MustParsePrefix("192.0.2.1/32")
+	ip := p.Addr()
+	await := func(want bool) (evaluated <-chan struct{}, done <-chan error) {
+		ev := make(chan struct{})
+		res := make(chan error, 1)
+		first := true
+		go func() {
+			res <- r.Await(context.Background(), func() bool {
+				if first {
+					first = false
+					close(ev)
+					return false
+				}
+				return r.Covered(ip, 150) == want
+			})
+		}()
+		return ev, res
+	}
+
+	evaluated, done := await(true)
+	<-evaluated
+	r.Announce(p, 100)
+	if err := <-done; err != nil {
+		t.Fatalf("await announce: %v", err)
+	}
+	evaluated, done = await(false)
+	<-evaluated
+	r.Withdraw(p, 120)
+	if err := <-done; err != nil {
+		t.Fatalf("await withdraw: %v", err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := r.Await(ctx, func() bool { return false }); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Await on canceled ctx = %v", err)
+	}
+}
+
 func TestRegistryApplyUpdate(t *testing.T) {
 	r := NewRegistry()
 	p := netip.MustParsePrefix("198.51.100.7/32")
@@ -334,9 +378,8 @@ func TestRouteServerEndToEnd(t *testing.T) {
 	}
 
 	// Registry labeled the prefix.
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Registry.ActiveCount() == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	if err := srv.Registry.Await(ctx, func() bool { return srv.Registry.ActiveCount() > 0 }); err != nil {
+		t.Fatal(err)
 	}
 	if !srv.Registry.Covered(netip.MustParseAddr("198.51.100.7"), clock) {
 		t.Error("registry did not record the blackhole")
@@ -346,9 +389,8 @@ func TestRouteServerEndToEnd(t *testing.T) {
 	if err := a.WithdrawBlackhole(victim); err != nil {
 		t.Fatal(err)
 	}
-	deadline = time.Now().Add(5 * time.Second)
-	for srv.Registry.ActiveCount() != 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	if err := srv.Registry.Await(ctx, func() bool { return srv.Registry.ActiveCount() == 0 }); err != nil {
+		t.Fatal(err)
 	}
 	if srv.Registry.ActiveCount() != 0 {
 		t.Error("withdraw did not clear the registry")

@@ -39,14 +39,11 @@ func startServer(t *testing.T) (*RouteServer, string, func()) {
 
 func waitCovered(t *testing.T, reg *Registry, ip netip.Addr, want bool) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if reg.Covered(ip, time.Now().Unix()) == want {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
+	if err := reg.Await(context.Background(), func() bool {
+		return reg.Covered(ip, time.Now().Unix()) == want
+	}); err != nil {
+		t.Fatalf("registry never reached Covered(%s)=%v: %v", ip, want, err)
 	}
-	t.Fatalf("registry never reached Covered(%s)=%v", ip, want)
 }
 
 // TestPersistentReplaysDesiredStateAfterKill drops the member session and

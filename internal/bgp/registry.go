@@ -1,9 +1,12 @@
 package bgp
 
 import (
+	"context"
 	"net/netip"
 	"sort"
 	"sync"
+
+	"github.com/ixp-scrubber/ixpscrubber/internal/par"
 )
 
 // Registry tracks which prefixes are blackholed at which times. It is the
@@ -26,6 +29,7 @@ type Registry struct {
 	// probes the handful of lengths actually in use (blackholes are almost
 	// always /32) instead of scanning every prefix.
 	lengths map[int]int
+	changed par.Event // fired by every announce or withdraw that changes the table
 }
 
 type interval struct {
@@ -52,6 +56,7 @@ func (r *Registry) Announce(prefix netip.Prefix, at int64) {
 		return
 	}
 	r.active[prefix] = 1
+	r.changed.Fire()
 	if len(r.byPrefix[prefix]) == 0 {
 		r.lengths[prefix.Bits()]++
 	}
@@ -68,12 +73,32 @@ func (r *Registry) Withdraw(prefix netip.Prefix, at int64) {
 		return
 	}
 	delete(r.active, prefix)
+	r.changed.Fire()
 	ivs := r.byPrefix[prefix]
 	last := &ivs[len(ivs)-1]
 	if at < last.from {
 		at = last.from
 	}
 	last.to = at
+}
+
+// Await blocks until cond holds, re-evaluating it after every announce or
+// withdraw that changes the table, or until ctx ends. cond runs without the
+// registry lock held, so it may call any Registry method.
+func (r *Registry) Await(ctx context.Context, cond func() bool) error {
+	for {
+		r.mu.Lock()
+		changed := r.changed.C()
+		r.mu.Unlock()
+		if cond() {
+			return nil
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-changed:
+		}
+	}
 }
 
 // ApplyUpdate folds a decoded UPDATE into the registry: blackhole-tagged

@@ -19,14 +19,18 @@
 //   - an in-memory packet conn (PacketConn) — datagrams arrive in
 //     injection order with no UDP loss, read deadlines resolve instantly
 //     and socket errors happen exactly where scripted;
-//   - lock-step settling — the harness drains the collector and the
-//     ingest queue between simulated minutes, so batch boundaries (and
-//     therefore drop decisions under backpressure) are reproducible.
+//   - lock-step settling — between simulated minutes the harness waits for
+//     the collector's conn to go idle (PacketConn.WaitIdle) and for the
+//     ingest queue to drain (ixpsim.Pipeline.Drain), so batch boundaries
+//     (and therefore drop decisions under backpressure) are reproducible.
+//     Every wait is on an event, never on a wall-clock timer.
 package chaos
 
 import (
 	"context"
 	"sync"
+
+	"github.com/ixp-scrubber/ixpscrubber/internal/par"
 )
 
 // Clock is a shared virtual clock in unix seconds. The harness advances it
@@ -55,15 +59,17 @@ func (c *Clock) Now() int64 {
 // stage. While closed, Wait blocks every consume; Open releases them. The
 // zero Gate is open.
 type Gate struct {
-	mu sync.Mutex
-	ch chan struct{} // non-nil while closed; closing it reopens the gate
+	mu      sync.Mutex
+	closed  bool
+	parked  bool      // a Wait has blocked since the gate last closed
+	changed par.Event // fired by Open and by a Wait that blocks
 }
 
 // Close starts stalling waiters. Closing an already-closed gate is a no-op.
 func (g *Gate) Close() {
 	g.mu.Lock()
-	if g.ch == nil {
-		g.ch = make(chan struct{})
+	if !g.closed {
+		g.closed, g.parked = true, false
 	}
 	g.mu.Unlock()
 }
@@ -71,23 +77,27 @@ func (g *Gate) Close() {
 // Open releases all waiters. Opening an open gate is a no-op.
 func (g *Gate) Open() {
 	g.mu.Lock()
-	if g.ch != nil {
-		close(g.ch)
-		g.ch = nil
-	}
+	g.closed = false
+	g.changed.Fire()
 	g.mu.Unlock()
 }
 
 // Wait blocks while the gate is closed (or until ctx ends).
 func (g *Gate) Wait(ctx context.Context) {
 	g.mu.Lock()
-	ch := g.ch
-	g.mu.Unlock()
-	if ch == nil {
-		return
+	defer g.mu.Unlock()
+	if g.closed {
+		g.parked = true
+		g.changed.Fire()
+		// A canceled consume returns like a released one.
+		_ = g.changed.Await(ctx, &g.mu, func() bool { return !g.closed })
 	}
-	select {
-	case <-ch:
-	case <-ctx.Done():
-	}
+}
+
+// WaitParked blocks until the gate is open or a consumer has blocked at it
+// since it last closed, or until ctx ends.
+func (g *Gate) WaitParked(ctx context.Context) error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.changed.Await(ctx, &g.mu, func() bool { return g.parked || !g.closed })
 }

@@ -1,10 +1,13 @@
 package chaos
 
 import (
+	"context"
 	"net"
 	"os"
 	"sync"
 	"time"
+
+	"github.com/ixp-scrubber/ixpscrubber/internal/par"
 )
 
 // chaosAddr is the fixed pseudo-address the conn reports.
@@ -21,13 +24,20 @@ var chaosAddr net.Addr = &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 6343}
 // a deadline while a partial batch is pending, so this turns its
 // "flush on idle" path into a deterministic "flush once the injected
 // stream is drained" with no real-time sleeps.
+//
+// The same rule makes an idle conn a drain signal: a reader blocked with
+// no deadline armed means the collector has no partial batch pending, and
+// its EmitBatch is synchronous, so every injected datagram has been
+// decoded and emitted. WaitIdle waits for that.
 type PacketConn struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  [][]byte
-	errs   []error // scripted read errors, surfaced once the queue drains
-	closed bool
-	armed  bool // a read deadline is set
+	mu      sync.Mutex
+	cond    *sync.Cond
+	queue   [][]byte
+	errs    []error // scripted read errors, surfaced once the queue drains
+	closed  bool
+	armed   bool      // a read deadline is set
+	blocked bool      // a reader waits in ReadFrom
+	parked  par.Event // fired when a reader blocks
 }
 
 // NewPacketConn returns an empty conn ready for injection.
@@ -77,8 +87,22 @@ func (c *PacketConn) ReadFrom(p []byte) (int, net.Addr, error) {
 		if c.armed {
 			return 0, nil, os.ErrDeadlineExceeded
 		}
+		c.blocked = true
+		c.parked.Fire()
 		c.cond.Wait()
+		c.blocked = false
 	}
+}
+
+// WaitIdle blocks until a reader is blocked in ReadFrom with nothing to
+// return — no queued datagram, no scripted error, no armed deadline, conn
+// open — or until ctx ends.
+func (c *PacketConn) WaitIdle(ctx context.Context) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.parked.Await(ctx, &c.mu, func() bool {
+		return c.blocked && len(c.queue) == 0 && len(c.errs) == 0 && !c.armed && !c.closed
+	})
 }
 
 // WriteTo discards the datagram (the collector never writes).

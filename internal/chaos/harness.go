@@ -300,7 +300,10 @@ type Harness struct {
 	models   *modelreg.Registry
 	outage   *OutageFS
 
-	collector   *sflow.Collector
+	collector *sflow.Collector
+	// conns hands replacement sockets to the collector supervisor. It is
+	// unbuffered, so a send completes only once the supervisor has counted
+	// the previous socket's death and come back for the next one.
 	conns       chan *PacketConn
 	cur         *PacketConn
 	colWG       sync.WaitGroup
@@ -311,24 +314,21 @@ type Harness struct {
 	digests map[int64]uint64
 	kept    uint64
 
-	// Injection accounting: what the settled pipeline must have absorbed.
+	// Injection accounting: a settled collector has emitted every sent
+	// sample except those the scripted label panics discard.
 	sentDatagrams uint64
 	sentSamples   uint64
-	expIngest     uint64 // records expected through the balancer, minus known losses
-	expBatches    uint64 // batches expected to reach the queue (accepted or dropped)
-	ingestBase    uint64 // balancer count carried in from a restored checkpoint
+	panicLost     uint64
 	lastDatagram  []byte
 	lastSamples   int
 
 	// Stall parking: when the consumer gate closes, the consumer is still
 	// blocked inside the queue's Get. The first datagram of the stall window
-	// wakes it; parkPending makes the injector wait until that batch has
-	// been taken (BatchesOut advances past parkBase) and the consumer is
-	// provably blocked at the gate. From then on the queue accepts exactly
-	// its capacity and drops the rest — the drop set is a pure function of
-	// injection order, not of goroutine scheduling.
+	// wakes it; parkPending makes the injector wait until the consumer has
+	// taken that batch and blocked at the gate. From then on the queue
+	// accepts exactly its capacity and drops the rest — the drop set is a
+	// pure function of injection order, not of goroutine scheduling.
 	parkPending bool
-	parkBase    uint64
 }
 
 // Run executes the scenario inside dir (ACL, checkpoint files) and returns
@@ -464,10 +464,6 @@ func (h *Harness) start() error {
 			return fmt.Errorf("chaos: no checkpoint to restore in %s", h.dir)
 		}
 	}
-	// A restored pipeline reports the checkpoint's cumulative ingest count,
-	// but this run's queue starts from zero; settle() compares against the
-	// delta.
-	h.ingestBase = h.pipe.Ingested()
 	h.pipe.Start(h.ctx)
 
 	// Supervised collector on the in-memory socket.
@@ -484,19 +480,12 @@ func (h *Harness) start() error {
 		Log:       log,
 	}
 	h.collector.RegisterMetrics(h.reg)
-	h.conns = make(chan *PacketConn, 4)
+	h.conns = make(chan *PacketConn)
 	h.cur = NewPacketConn()
-	h.conns <- h.cur
 	h.colWG.Add(1)
-	go func() {
+	go func(conn *PacketConn) {
 		defer h.colWG.Done()
 		for {
-			var conn *PacketConn
-			select {
-			case conn = <-h.conns:
-			case <-h.ctx.Done():
-				return
-			}
 			err := h.collector.Listen(h.ctx, conn)
 			if err == nil || h.ctx.Err() != nil {
 				return
@@ -504,8 +493,13 @@ func (h *Harness) start() error {
 			// The socket died; count the restart and wait for its
 			// replacement. The collector keeps its partial batch.
 			h.colRestarts.Add(1)
+			select {
+			case conn = <-h.conns:
+			case <-h.ctx.Done():
+				return
+			}
 		}
-	}()
+	}(h.cur)
 
 	// Persistent member session announcing blackholes.
 	h.member = &bgp.Persistent{
@@ -585,12 +579,16 @@ func (h *Harness) replay() (*Outcome, error) {
 		// Consumer gate transitions happen on minute boundaries so the
 		// backlog at the stall is an exact, replayable batch sequence.
 		if stuckActive && m == sc.StuckFrom {
-			h.parkBase = h.pipe.QueueStats().BatchesOut.Load()
 			h.parkPending = true
 			h.gate.Close()
 		}
 		if stuckActive && m == sc.StuckTo+1 {
+			// The released consumer works off the stall backlog before this
+			// minute injects anything, so no later Put races it for space.
 			h.gate.Open()
+			if err := h.pipe.Drain(h.ctx); err != nil {
+				return nil, fmt.Errorf("chaos: draining stall backlog: %w", err)
+			}
 		}
 		stuck := stuckActive && m >= sc.StuckFrom && m <= sc.StuckTo
 
@@ -639,8 +637,7 @@ func (h *Harness) replay() (*Outcome, error) {
 			// The panicking datagram loses its whole sample batch: the
 			// handler unwinds mid-conversion and the pending batch is
 			// discarded, so neither its records nor its batch arrive.
-			h.expIngest -= samplesPerDatagram
-			h.expBatches--
+			h.panicLost += samplesPerDatagram
 		}
 
 		// Inject the minute's traffic as wire-format sFlow datagrams.
@@ -740,15 +737,10 @@ func (h *Harness) sendDatagram(dst []byte, seq uint32, samples []sflow.FlowSampl
 	h.cur.Inject(data)
 	h.sentDatagrams++
 	h.sentSamples += uint64(len(samples))
-	h.expIngest += uint64(len(samples))
-	h.expBatches++
 	if h.parkPending {
 		// Stall window just opened: wait until the consumer has taken this
 		// batch and parked at the gate, so every later Put races nothing.
-		qs := h.pipe.QueueStats()
-		if err := ixpsim.PollUntil(h.ctx, func() bool {
-			return qs.BatchesOut.Load() > h.parkBase
-		}); err != nil {
+		if err := h.gate.WaitParked(h.ctx); err != nil {
 			return dst, fmt.Errorf("chaos: parking stalled consumer: %w", err)
 		}
 		h.parkPending = false
@@ -778,25 +770,23 @@ func (h *Harness) injectSkewed(abs int64) error {
 	h.cur.Inject(h.lastDatagram)
 	h.sentDatagrams++
 	h.sentSamples += uint64(h.lastSamples)
-	h.expIngest += uint64(h.lastSamples)
-	h.expBatches++
 	err := h.settle(true)
 	h.clock.Set(abs * 60)
 	return err
 }
 
 // breakSocket kills the collector's socket with a scripted read error and
-// waits for the supervisor to bring a replacement up.
+// hands the supervisor a replacement, which it takes only after counting
+// the restart.
 func (h *Harness) breakSocket() error {
-	prev := h.colRestarts.Load()
-	old := h.cur
+	h.cur.InjectError(errScriptedSocket)
 	h.cur = NewPacketConn()
-	h.conns <- h.cur
-	old.InjectError(errScriptedSocket)
-	if err := ixpsim.PollUntil(h.ctx, func() bool { return h.colRestarts.Load() > prev }); err != nil {
-		return fmt.Errorf("chaos: waiting for collector restart: %w", err)
+	select {
+	case h.conns <- h.cur:
+		return nil
+	case <-h.ctx.Done():
+		return fmt.Errorf("chaos: waiting for collector restart: %w", h.ctx.Err())
 	}
-	return nil
 }
 
 // syncBGP round-trips the marker prefix through the persistent session so
@@ -807,45 +797,24 @@ func (h *Harness) syncBGP(abs int64) error {
 		func() error { return h.member.Withdraw(h.ctx, ixpsim.MarkerPrefix()) })
 }
 
-// settle waits for the injected stream to drain: first the collector (all
-// samples seen, all batches emitted or dropped), then — unless the
-// consumer is scripted as stuck — the queue and balancer. Settling between
-// minutes is what pins batch boundaries, and therefore drop decisions and
-// RNG draws, to exactly one replayable sequence.
+// settle waits for the injected stream to drain: first the collector (its
+// socket idle, so every datagram is decoded and emitted), then — unless
+// the consumer is scripted as stuck — the queue and balancer, whose
+// conservation Drain checks. Settling between minutes is what pins batch
+// boundaries, and therefore drop decisions and RNG draws, to exactly one
+// replayable sequence.
 func (h *Harness) settle(waitQueue bool) error {
-	if err := ixpsim.PollUntil(h.ctx, func() bool {
-		return h.collector.Stats.Samples.Load() >= h.sentSamples
-	}); err != nil {
-		return fmt.Errorf("settling collector samples: %w", err)
+	if err := h.cur.WaitIdle(h.ctx); err != nil {
+		return fmt.Errorf("settling collector: %w", err)
 	}
-	// The drop stage sits between collector and queue: records it drops
-	// never arrive at the balancer, and batches it consumes entirely never
-	// reach the queue. Both count toward the injected stream's drain.
-	dropStats := func() (records, batches uint64) {
-		if d := h.pipe.Dropper(); d != nil {
-			st := d.Stats()
-			return st.Dropped, st.FullyDroppedBatches
+	if waitQueue {
+		if err := h.pipe.Drain(h.ctx); err != nil {
+			return fmt.Errorf("settling queue: %w", err)
 		}
-		return 0, 0
 	}
-	qs := h.pipe.QueueStats()
-	if err := ixpsim.PollUntil(h.ctx, func() bool {
-		_, dropBatches := dropStats()
-		return qs.BatchesIn.Load()+qs.DroppedBatches.Load()+dropBatches >= h.expBatches
-	}); err != nil {
-		return fmt.Errorf("settling collector batches: %w", err)
-	}
-	if !waitQueue {
-		return nil
-	}
-	if err := ixpsim.PollUntil(h.ctx, func() bool {
-		ing := h.pipe.Ingested() - h.ingestBase
-		dropRecords, _ := dropStats()
-		return ing+qs.DroppedRecords.Load()+dropRecords >= h.expIngest &&
-			qs.BatchesOut.Load() == qs.BatchesIn.Load() &&
-			qs.RecordsOut.Load() == ing
-	}); err != nil {
-		return fmt.Errorf("settling queue: %w", err)
+	if got, want := h.collector.Stats.Records.Load(), h.sentSamples-h.panicLost; got != want {
+		return fmt.Errorf("collector emitted %d records, want %d (%d samples sent, %d lost to scripted panics)",
+			got, want, h.sentSamples, h.panicLost)
 	}
 	return nil
 }

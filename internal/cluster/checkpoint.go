@@ -74,10 +74,6 @@ func (c *Cluster) restore() error {
 		if !restored {
 			return fmt.Errorf("cluster: site %s has no checkpoint in %s", s.Name, s.dir)
 		}
-		// The restored pipeline reports the checkpoint's cumulative ingest
-		// count, but this run's queue starts from zero; settle compares
-		// against the delta.
-		s.ingestBase = s.pipe.Ingested()
 	}
 	// Replay the generator RNG streams (traffic and blackhole schedules)
 	// through the minutes the crashed run already simulated.

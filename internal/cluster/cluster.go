@@ -299,7 +299,7 @@ func (c *Cluster) Step(ctx context.Context) error {
 		}
 	}
 	for _, s := range c.sites {
-		if err := s.settle(ctx); err != nil {
+		if err := s.pipe.Drain(ctx); err != nil {
 			return fmt.Errorf("cluster: site %s minute %d: %w", s.Name, c.minute, err)
 		}
 	}
@@ -308,7 +308,7 @@ func (c *Cluster) Step(ctx context.Context) error {
 }
 
 // route splits one generated minute across the owning sites' ingest
-// shards and updates the settle accounting.
+// shards.
 func (c *Cluster) route(flows []synth.Flow) error {
 	for i := range c.scratch {
 		c.scratch[i] = c.scratch[i][:0]
@@ -324,8 +324,6 @@ func (c *Cluster) route(flows []synth.Flow) error {
 			continue
 		}
 		s.pipe.EmitBatch(batch)
-		s.expBatches++
-		s.expIngest += uint64(len(batch))
 		s.routed.Add(uint64(len(batch)))
 	}
 	return nil

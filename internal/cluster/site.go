@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -31,13 +29,9 @@ type Site struct {
 	reg  *modelreg.Registry
 	dir  string
 
-	// Injection accounting: what the settled pipeline must have absorbed.
-	// routed is atomic because the metrics scrape reads it concurrently
-	// with the driving goroutine; the rest stays on the driving goroutine.
-	expBatches uint64
-	expIngest  uint64
-	routed     atomic.Uint64
-	ingestBase uint64 // balancer count carried in from a restored checkpoint
+	// routed counts records the partitioner sent here; atomic because the
+	// metrics scrape reads it concurrently with the driving goroutine.
+	routed atomic.Uint64
 
 	// Per-minute chained digests of the kept (balanced) stream.
 	digMu   sync.Mutex
@@ -76,36 +70,6 @@ func (s *Site) keepHook(r netflow.Record) {
 	s.digests[m] = netflow.FoldRecord(d, &r)
 	s.kept++
 	s.digMu.Unlock()
-}
-
-// settle waits until the site's queue and balancer have absorbed every
-// record routed to it. Mirrors the chaos harness discipline: per-minute
-// settling is what makes batch boundaries and RNG draws replayable.
-func (s *Site) settle(ctx context.Context) error {
-	dropStats := func() (records, batches uint64) {
-		if d := s.pipe.Dropper(); d != nil {
-			st := d.Stats()
-			return st.Dropped, st.FullyDroppedBatches
-		}
-		return 0, 0
-	}
-	qs := s.pipe.QueueStats()
-	if err := ixpsim.PollUntil(ctx, func() bool {
-		_, dropBatches := dropStats()
-		return qs.BatchesIn.Load()+qs.DroppedBatches.Load()+dropBatches >= s.expBatches
-	}); err != nil {
-		return fmt.Errorf("settling batches: %w", err)
-	}
-	if err := ixpsim.PollUntil(ctx, func() bool {
-		ing := s.pipe.Ingested() - s.ingestBase
-		dropRecords, _ := dropStats()
-		return ing+qs.DroppedRecords.Load()+dropRecords >= s.expIngest &&
-			qs.BatchesOut.Load() == qs.BatchesIn.Load() &&
-			qs.RecordsOut.Load() == ing
-	}); err != nil {
-		return fmt.Errorf("settling queue: %w", err)
-	}
-	return nil
 }
 
 // RoundDigest summarizes one site training round for comparison.

@@ -27,12 +27,11 @@ type Stage struct {
 	next func([]netflow.Record)
 	prog atomic.Pointer[Program]
 
-	evaluated    atomic.Uint64
-	dropped      atomic.Uint64
-	batches      atomic.Uint64
-	fullyDropped atomic.Uint64
-	swaps        atomic.Uint64
-	compileNS    atomic.Int64
+	evaluated atomic.Uint64
+	dropped   atomic.Uint64
+	batches   atomic.Uint64
+	swaps     atomic.Uint64
+	compileNS atomic.Int64
 
 	mu sync.Mutex
 	// cum holds per-rule-ID drop totals folded in from retired programs.
@@ -85,11 +84,7 @@ func (s *Stage) EmitBatch(recs []netflow.Record) {
 	if dropped > 0 {
 		s.dropped.Add(dropped)
 	}
-	if len(kept) == 0 {
-		s.fullyDropped.Add(1)
-		return
-	}
-	if s.next != nil {
+	if len(kept) > 0 && s.next != nil {
 		s.next(kept)
 	}
 }
@@ -162,10 +157,8 @@ type Stats struct {
 	Evaluated uint64
 	// Dropped counts records removed from the stream.
 	Dropped uint64
-	// Batches counts EmitBatch calls; FullyDroppedBatches the subset
-	// consumed entirely (nothing forwarded downstream).
-	Batches             uint64
-	FullyDroppedBatches uint64
+	// Batches counts EmitBatch calls.
+	Batches uint64
 	// Swaps counts explicit Swap publications; the empty program
 	// NewStage installs is not one.
 	Swaps uint64
@@ -174,11 +167,10 @@ type Stats struct {
 // Stats returns the stage counters.
 func (s *Stage) Stats() Stats {
 	return Stats{
-		Evaluated:           s.evaluated.Load(),
-		Dropped:             s.dropped.Load(),
-		Batches:             s.batches.Load(),
-		FullyDroppedBatches: s.fullyDropped.Load(),
-		Swaps:               s.swaps.Load(),
+		Evaluated: s.evaluated.Load(),
+		Dropped:   s.dropped.Load(),
+		Batches:   s.batches.Load(),
+		Swaps:     s.swaps.Load(),
 	}
 }
 

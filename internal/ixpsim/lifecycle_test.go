@@ -527,9 +527,7 @@ func TestConcurrentLifecycleAccess(t *testing.T) {
 		p.EmitBatch(synth.Records(buf))
 		if (m+1)%3 == 0 {
 			// Wait for the queue to drain so rounds see real data.
-			if err := PollUntil(ctx, func() bool {
-				return p.QueueStats().RecordsOut.Load() == p.Ingested() && p.QueueStats().BatchesIn.Load() == p.QueueStats().BatchesOut.Load()
-			}); err != nil {
+			if err := p.Drain(ctx); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := p.TrainRound(ctx, (abs+1)*60); err != nil {

@@ -172,6 +172,10 @@ type Pipeline struct {
 	tm       *trainMetrics
 	ingested atomic.Uint64 // records through the balancer
 	trained  atomic.Bool
+	// Drain's conservation check: records this incarnation handed to
+	// EmitBatch, and the ingested count a restored checkpoint carried in.
+	offered          atomic.Uint64
+	restoredIngested uint64
 
 	// drop is the compiled mitigation stage in front of the queue; nil
 	// unless cfg.Drop.
@@ -293,8 +297,8 @@ func (p *Pipeline) BalanceStats() balance.Stats {
 // Writer exposes the ACL/checkpoint publisher (for retry counters).
 func (p *Pipeline) Writer() *acl.Writer { return p.writer }
 
-// Ingested returns how many records have passed through the balancer. The
-// lock-step harness polls it to know when the queue has drained.
+// Ingested returns how many records have passed through the balancer,
+// including the count a restored checkpoint carried in.
 func (p *Pipeline) Ingested() uint64 { return p.ingested.Load() }
 
 // Trained reports whether a model is serving (readiness).
@@ -306,6 +310,7 @@ func (p *Pipeline) Trained() bool { return p.trained.Load() }
 // survivors enqueue. The queue copies what it accepts, so the collector
 // may reuse its slice either way.
 func (p *Pipeline) EmitBatch(recs []netflow.Record) {
+	p.offered.Add(uint64(len(recs)))
 	if p.drop != nil {
 		p.drop.EmitBatch(recs)
 		return
@@ -336,6 +341,30 @@ func (p *Pipeline) Start(ctx context.Context) {
 			p.ingested.Add(uint64(len(batch)))
 		}
 	}()
+}
+
+// Drain blocks until every record offered to EmitBatch before the call is
+// balanced or counted as dropped — the ingest queue is empty and its
+// consumer is parked back in Get — then checks this incarnation's
+// conservation identity: offered = balanced + queue DroppedRecords +
+// dropper Dropped. A mismatch is an uncounted loss; the error quotes the
+// counters. A consumer held by ConsumeGate keeps Drain waiting.
+func (p *Pipeline) Drain(ctx context.Context) error {
+	if err := p.queue.WaitDrained(ctx); err != nil {
+		return fmt.Errorf("ixpsim: draining ingest queue: %w", err)
+	}
+	offered := p.offered.Load()
+	balanced := p.ingested.Load() - p.restoredIngested
+	queueDropped := p.queue.Stats.DroppedRecords.Load()
+	var dropperDropped uint64
+	if p.drop != nil {
+		dropperDropped = p.drop.Stats().Dropped
+	}
+	if offered != balanced+queueDropped+dropperDropped {
+		return fmt.Errorf("ixpsim: drained pipeline lost records: offered %d != balanced %d + queue-dropped %d + dropper-dropped %d",
+			offered, balanced, queueDropped, dropperDropped)
+	}
+	return nil
 }
 
 // Stop closes the ingest queue and waits for the consumer to drain it.
@@ -699,6 +728,7 @@ func (p *Pipeline) restoreCheckpointFile() (bool, error) {
 	p.window = append(p.window[:0], cp.Window...)
 	p.winMu.Unlock()
 	p.ingested.Store(cp.Ingested)
+	p.restoredIngested = cp.Ingested
 	if p.drop != nil && len(cp.DropProgram) > 0 {
 		rules, derr := dropper.Unmarshal(cp.DropProgram)
 		if derr != nil {

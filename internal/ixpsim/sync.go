@@ -17,8 +17,6 @@ import (
 // update has been applied to the registry).
 var markerPrefix = netip.MustParsePrefix("198.18.255.254/32")
 
-const pollInterval = 500 * time.Microsecond
-
 // SyncBGP round-trips the marker through the route server over a raw
 // member session.
 func SyncBGP(ctx context.Context, member *bgp.Conn, reg *bgp.Registry, nextHop netip.Addr, at int64) error {
@@ -36,13 +34,13 @@ func SyncBGPWith(ctx context.Context, reg *bgp.Registry, at int64, announce, wit
 		return fmt.Errorf("ixpsim: marker announce: %w", err)
 	}
 	marker := markerPrefix.Addr()
-	if err := PollUntil(ctx, func() bool { return reg.Covered(marker, at) }); err != nil {
+	if err := reg.Await(ctx, func() bool { return reg.Covered(marker, at) }); err != nil {
 		return fmt.Errorf("ixpsim: waiting for marker announce: %w", err)
 	}
 	if err := withdraw(); err != nil {
 		return fmt.Errorf("ixpsim: marker withdraw: %w", err)
 	}
-	if err := PollUntil(ctx, func() bool { return !reg.Covered(marker, at) }); err != nil {
+	if err := reg.Await(ctx, func() bool { return !reg.Covered(marker, at) }); err != nil {
 		return fmt.Errorf("ixpsim: waiting for marker withdraw: %w", err)
 	}
 	return nil
@@ -74,22 +72,6 @@ func WaitSamples(ctx context.Context, c *sflow.Collector, total uint64) error {
 			stall = 0
 			last = cur
 		}
-		time.Sleep(pollInterval)
+		time.Sleep(500 * time.Microsecond)
 	}
-}
-
-// PollUntil spins (with a short sleep) until cond holds, the context ends,
-// or a 10 s deadline expires.
-func PollUntil(ctx context.Context, cond func() bool) error {
-	deadline := time.Now().Add(10 * time.Second)
-	for !cond() {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("ixpsim: condition not reached within 10s")
-		}
-		time.Sleep(pollInterval)
-	}
-	return nil
 }

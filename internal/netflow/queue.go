@@ -4,6 +4,8 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
+
+	"github.com/ixp-scrubber/ixpscrubber/internal/par"
 )
 
 // DropPolicy selects what a full Queue does with an incoming batch.
@@ -73,14 +75,15 @@ type QueueStats struct {
 // memory is bounded by capacity × batch size. One consumer; any number of
 // producers.
 type Queue struct {
-	mu       sync.Mutex
-	notFull  *sync.Cond
-	notEmpty chan struct{} // closed/remade signal for waiting consumers
-	buf      [][]Record
-	head     int
-	n        int
-	policy   DropPolicy
-	closed   bool
+	mu      sync.Mutex
+	notFull *sync.Cond
+	changed par.Event // fired by Put, Close and a consumer parking in Get
+	buf     [][]Record
+	head    int
+	n       int
+	policy  DropPolicy
+	closed  bool
+	idle    bool // the consumer waits in Get: every batch it took is consumed
 
 	Stats QueueStats
 }
@@ -91,9 +94,8 @@ func NewQueue(capacity int, policy DropPolicy) *Queue {
 		capacity = 1
 	}
 	q := &Queue{
-		buf:      make([][]Record, capacity),
-		policy:   policy,
-		notEmpty: make(chan struct{}),
+		buf:    make([][]Record, capacity),
+		policy: policy,
 	}
 	q.notFull = sync.NewCond(&q.mu)
 	return q
@@ -149,41 +151,43 @@ func (q *Queue) Put(batch []Record) bool {
 	q.n++
 	q.Stats.BatchesIn.Add(1)
 	q.Stats.RecordsIn.Add(uint64(len(cp)))
-	signal := q.notEmpty
-	q.notEmpty = make(chan struct{})
+	q.changed.Fire()
 	q.mu.Unlock()
-	close(signal)
 	return true
 }
 
 // Get removes and returns the oldest batch, waiting until one is available,
 // the queue closes (nil, false once drained), or ctx is done.
 func (q *Queue) Get(ctx context.Context) ([]Record, bool) {
-	for {
-		q.mu.Lock()
-		if q.n > 0 {
-			b := q.buf[q.head]
-			q.buf[q.head] = nil
-			q.head = (q.head + 1) % len(q.buf)
-			q.n--
-			q.Stats.BatchesOut.Add(1)
-			q.Stats.RecordsOut.Add(uint64(len(b)))
-			q.notFull.Signal()
-			q.mu.Unlock()
-			return b, true
-		}
-		if q.closed {
-			q.mu.Unlock()
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.n == 0 {
+		q.idle = true
+		q.changed.Fire()
+		err := q.changed.Await(ctx, &q.mu, func() bool { return q.n > 0 || q.closed })
+		if err != nil || q.n == 0 {
 			return nil, false
-		}
-		wait := q.notEmpty
-		q.mu.Unlock()
-		select {
-		case <-ctx.Done():
-			return nil, false
-		case <-wait:
 		}
 	}
+	q.idle = false
+	b := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head = (q.head + 1) % len(q.buf)
+	q.n--
+	q.Stats.BatchesOut.Add(1)
+	q.Stats.RecordsOut.Add(uint64(len(b)))
+	q.notFull.Signal()
+	return b, true
+}
+
+// WaitDrained blocks until the queue is empty and its consumer is back in
+// Get — every batch accepted before the call has been fully consumed — or
+// ctx ends. It observes only Puts that returned before it was called; a
+// consumer held elsewhere (a consume gate) keeps it waiting.
+func (q *Queue) WaitDrained(ctx context.Context) error {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.changed.Await(ctx, &q.mu, func() bool { return q.idle && q.n == 0 })
 }
 
 // Close wakes all waiters; queued batches remain retrievable via Get until
@@ -195,9 +199,7 @@ func (q *Queue) Close() {
 		return
 	}
 	q.closed = true
-	signal := q.notEmpty
-	q.notEmpty = make(chan struct{})
+	q.changed.Fire()
 	q.notFull.Broadcast()
 	q.mu.Unlock()
-	close(signal)
 }

@@ -2,6 +2,7 @@ package netflow
 
 import (
 	"context"
+	"errors"
 	"net/netip"
 	"sync"
 	"testing"
@@ -160,5 +161,147 @@ func TestQueueConcurrentProducers(t *testing.T) {
 	}
 	if total != producers*per {
 		t.Fatalf("consumed %d records, want %d", total, producers*per)
+	}
+}
+
+// probeDrained reports whether WaitDrained would return at once: with an
+// already-canceled context it returns nil only when the queue is drained.
+func probeDrained(q *Queue) bool {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return q.WaitDrained(ctx) == nil
+}
+
+// gatedConsumer runs a consumer that reports each batch it takes on took
+// and then holds it until release delivers a token — a ConsumeGate.
+func gatedConsumer(ctx context.Context, q *Queue, took chan<- []Record, release <-chan struct{}) {
+	go func() {
+		for {
+			b, ok := q.Get(ctx)
+			if !ok {
+				return
+			}
+			took <- b
+			select {
+			case <-release:
+			case <-ctx.Done():
+				return
+			}
+		}
+	}()
+}
+
+func TestQueueWaitDrainedWaitsForConsumer(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	q := NewQueue(4, Block)
+	if probeDrained(q) {
+		t.Fatal("drained before any consumer entered Get")
+	}
+	took := make(chan []Record)
+	release := make(chan struct{})
+	gatedConsumer(ctx, q, took, release)
+	if err := q.WaitDrained(ctx); err != nil {
+		t.Fatalf("idle consumer on an empty queue: %v", err)
+	}
+
+	q.Put([]Record{qrec(0, 0)})
+	done := make(chan error, 1)
+	go func() { done <- q.WaitDrained(ctx) }()
+	<-took // the consumer holds the batch at its gate
+	if probeDrained(q) {
+		t.Fatal("drained while the consumer still holds a batch")
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("WaitDrained returned %v while the consumer was gated", err)
+	default:
+	}
+	release <- struct{}{}
+	if err := <-done; err != nil {
+		t.Fatalf("WaitDrained after release: %v", err)
+	}
+	if !probeDrained(q) {
+		t.Fatal("not drained after the consumer came back to Get")
+	}
+}
+
+func TestQueueWaitDrainedHonorsContext(t *testing.T) {
+	q := NewQueue(4, Block)
+	took := make(chan []Record, 1)
+	consumerCtx, stopConsumer := context.WithCancel(context.Background())
+	defer stopConsumer()
+	gatedConsumer(consumerCtx, q, took, make(chan struct{}))
+	q.Put([]Record{qrec(0, 0)})
+	<-took
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- q.WaitDrained(ctx) }()
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("WaitDrained on cancel = %v, want context.Canceled", err)
+	}
+}
+
+// TestQueueWaitDrainedAtCapacity overflows a queue with no consumer under
+// both drop policies, then checks WaitDrained returns exactly when the
+// consumer has worked off what survived.
+func TestQueueWaitDrainedAtCapacity(t *testing.T) {
+	for _, tc := range []struct {
+		policy DropPolicy
+		first  int64 // minute of the first surviving batch
+	}{
+		{DropNewest, 0},
+		{DropOldest, 2},
+	} {
+		t.Run(tc.policy.String(), func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			q := NewQueue(2, tc.policy)
+			for m := int64(0); m < 4; m++ {
+				q.Put([]Record{qrec(m, 0), qrec(m, 1)})
+			}
+			if got := q.Stats.DroppedRecords.Load(); got != 4 {
+				t.Fatalf("dropped %d records at capacity, want 4", got)
+			}
+			if probeDrained(q) {
+				t.Fatal("drained with a full queue and no consumer")
+			}
+			var consumed []int64
+			took := make(chan []Record, 2)
+			release := make(chan struct{}, 2)
+			release <- struct{}{}
+			release <- struct{}{}
+			gatedConsumer(ctx, q, took, release)
+			if err := q.WaitDrained(ctx); err != nil {
+				t.Fatal(err)
+			}
+			close(took)
+			for b := range took {
+				consumed = append(consumed, b[0].Timestamp/60)
+			}
+			if len(consumed) != 2 || consumed[0] != tc.first || consumed[1] != tc.first+1 {
+				t.Fatalf("consumed minutes %v, want [%d %d]", consumed, tc.first, tc.first+1)
+			}
+			if out := q.Stats.RecordsOut.Load(); out != 4 {
+				t.Fatalf("RecordsOut = %d after drain, want 4", out)
+			}
+		})
+	}
+}
+
+// TestQueuePutGetAllocs pins the hand-off's allocations with no drain
+// waiter: only the batch copy. A wake-up channel is made only when the
+// consumer finds the queue empty, never per Put.
+func TestQueuePutGetAllocs(t *testing.T) {
+	q := NewQueue(4, Block)
+	batch := []Record{qrec(0, 0), qrec(0, 1)}
+	ctx := context.Background()
+	if n := testing.AllocsPerRun(1000, func() {
+		q.Put(batch)
+		q.Get(ctx)
+	}); n > 1 {
+		t.Fatalf("Put+Get allocates %v times, want <= 1", n)
 	}
 }

@@ -59,17 +59,6 @@ func feedMinutes(prof synth.Profile, minutes int64, emit func([]netflow.Record))
 	return total
 }
 
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // TestConfigEquivalentToHardwired pins the tentpole guarantee: the default
 // YAML config assembles a pipeline bit-identical to the pre-PR hardwired
 // daemon chain — same training round, same ACL bytes, same conservation
@@ -98,7 +87,9 @@ func TestConfigEquivalentToHardwired(t *testing.T) {
 	}
 	hw.Start(ctx)
 	hwTotal := feedMinutes(segProfile(), minutes, hw.EmitBatch)
-	waitFor(t, "hardwired drain", func() bool { return hw.Ingested() == hwTotal })
+	if err := hw.Drain(ctx); err != nil {
+		t.Fatalf("hardwired drain: %v", err)
+	}
 	hwRound, err := hw.TrainRound(ctx, now)
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +127,9 @@ func TestConfigEquivalentToHardwired(t *testing.T) {
 	if segTotal != hwTotal {
 		t.Fatalf("input streams diverge: %d vs %d records", segTotal, hwTotal)
 	}
-	waitFor(t, "segment drain", func() bool { return sp.Ingested() == segTotal })
+	if err := sp.Drain(ctx); err != nil {
+		t.Fatalf("segment drain: %v", err)
+	}
 	segRound, err := sp.TrainRound(ctx, now)
 	if err != nil {
 		t.Fatal(err)
