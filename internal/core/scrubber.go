@@ -169,10 +169,9 @@ func (s *Scrubber) SetRules(set *tagging.RuleSet) {
 // Aggregate groups balanced flow records into per-<minute, target>
 // aggregates annotated with the scrubber's accepted rules. vectors may be
 // nil; when given it must align with records (ground truth for per-vector
-// scoring). With cfg.Sketch set the bounded-memory sketch path is used; with
-// more than one worker available, ingest runs through the per-core sharded
-// parallel path. Both switches preserve emission order, and the parallel
-// path is bit-identical to serial.
+// scoring). With cfg.Sketch set the bounded-memory sketch path is used.
+// Ingest is serial; cfg.Workers bounds the minute flush's parallel ranking,
+// whose output is identical at every worker count.
 func (s *Scrubber) Aggregate(records []netflow.Record, vectors []string) []*features.Aggregate {
 	var out []*features.Aggregate
 	agg := features.NewAggregatorSketch(s.tagger, features.DefaultShards(), s.cfg.Sketch,
@@ -180,12 +179,6 @@ func (s *Scrubber) Aggregate(records []netflow.Record, vectors []string) []*feat
 	agg.Workers = s.cfg.Workers
 	if s.metrics != nil {
 		agg.Metrics = s.metrics.featureMetrics()
-	}
-	if par.Workers(s.cfg.Workers) > 1 {
-		p := features.NewParallelAggregator(agg)
-		p.AddBatch(records, vectors)
-		p.Close()
-		return out
 	}
 	agg.AddBatch(records, vectors)
 	agg.Close()

@@ -212,6 +212,14 @@ func equivalenceFlows(tb testing.TB, minutes int) ([]netflow.Record, []string) {
 	return recs, vecs
 }
 
+// withLateRecord appends a copy of the first record moved back to minute 0,
+// after the stream has advanced past it: every aggregator must drop it.
+func withLateRecord(recs []netflow.Record, vecs []string) ([]netflow.Record, []string) {
+	late := recs[0]
+	late.Timestamp = 0
+	return append(recs[:len(recs):len(recs)], late), append(vecs[:len(vecs):len(vecs)], "")
+}
+
 func runAggregator(add func(*netflow.Record, string), close func(), recs []netflow.Record, vecs []string) {
 	for i := range recs {
 		add(&recs[i], vecs[i])
@@ -224,7 +232,7 @@ func runAggregator(add func(*netflow.Record, string), close func(), recs []netfl
 // presence masks, ordering, rules, vectors) at shard counts 1, 4 and 16,
 // with and without a tagger, at several worker counts.
 func TestAggregatorEquivalence(t *testing.T) {
-	recs, vecs := equivalenceFlows(t, 30)
+	recs, vecs := withLateRecord(equivalenceFlows(t, 30))
 	rules := []tagging.Rule{
 		{ID: "udp", Antecedent: []tagging.Item{tagging.NewItem(tagging.FieldProtocol, 17)}},
 		{ID: "http", Antecedent: []tagging.Item{tagging.NewItem(tagging.FieldDstPort, 80)}},
@@ -264,12 +272,7 @@ func TestAggregatorEquivalence(t *testing.T) {
 // TestAggregatorEquivalenceBatch: the AddBatch path must match record-wise
 // Add exactly, including late-record drops at batch boundaries.
 func TestAggregatorEquivalenceBatch(t *testing.T) {
-	recs, vecs := equivalenceFlows(t, 20)
-	// Splice a late record mid-stream to exercise the drop path.
-	late := recs[0]
-	late.Timestamp = 0
-	recs = append(recs[:len(recs):len(recs)], late)
-	vecs = append(vecs[:len(vecs):len(vecs)], "")
+	recs, vecs := withLateRecord(equivalenceFlows(t, 20))
 
 	var want []*Aggregate
 	one := NewAggregatorShards(nil, 4, func(a *Aggregate) { want = append(want, a) })

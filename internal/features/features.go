@@ -185,8 +185,7 @@ type Aggregator struct {
 
 // shardState is the per-shard half of the aggregator: either an exact target
 // map or a bounded sketch table, plus the shard-owned scratch (free list,
-// tagger hit buffer) that lets shards run on independent goroutines in the
-// parallel ingest path without sharing mutable state.
+// tagger hit buffer).
 type shardState struct {
 	groups map[netip.Addr]*group // exact mode
 	sk     *sketchShard          // sketch mode (nil when exact)
@@ -226,9 +225,10 @@ func (m *Metrics) observeFlush(resident, sketchBytes, relErr float64) {
 
 // DefaultShards ties the shard count to the worker parallelism actually
 // available: the largest power of two not exceeding GOMAXPROCS, clamped to
-// [1, 16]. Shards beyond core count buy no flush or ingest parallelism (a
-// 1-core box gets exactly 1 shard), and beyond 16 the per-shard maps are too
-// sparse to matter at realistic per-minute target counts.
+// [1, 16]. Ingest is serial; shards beyond core count buy no flush
+// parallelism (a 1-core box gets exactly 1 shard), and beyond 16 the
+// per-shard maps are too sparse to matter at realistic per-minute target
+// counts.
 func DefaultShards() int { return shardsFor(runtime.GOMAXPROCS(0)) }
 
 // shardsFor is DefaultShards for an explicit parallelism level.
@@ -351,8 +351,7 @@ func (a *Aggregator) add(rec *netflow.Record, vector string, m int64) {
 	a.shards[a.shardIndex(rec.DstIP)].add(a.Tagger, rec, vector, m)
 }
 
-// add feeds one flow into this shard. It touches only shard-owned state, so
-// the parallel ingest path can run it on a dedicated goroutine per shard.
+// add feeds one flow into this shard.
 func (s *shardState) add(tagger *tagging.Tagger, rec *netflow.Record, vector string, m int64) {
 	if s.sk != nil {
 		g := s.sk.add(rec, m)

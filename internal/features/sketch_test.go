@@ -62,7 +62,7 @@ func normalizeDistinct(tb testing.TB, got, want *Aggregate, relTol float64) {
 // identical aggregates at shard counts 1, 4 and 16, with and without a
 // tagger, at several worker counts.
 func TestSketchAggregatorExactIdentity(t *testing.T) {
-	recs, vecs := equivalenceFlows(t, 20)
+	recs, vecs := withLateRecord(equivalenceFlows(t, 20))
 	rules := []tagging.Rule{
 		{ID: "udp", Antecedent: []tagging.Item{tagging.NewItem(tagging.FieldProtocol, 17)}},
 		{ID: "http", Antecedent: []tagging.Item{tagging.NewItem(tagging.FieldDstPort, 80)}},

@@ -197,18 +197,15 @@ fi
 # Sketch-backed aggregation (PR 6): the cardinality matrix (exact vs sketch
 # minute-flush throughput and peak aggregation heap at 1x/10x/100x/1000x the
 # 512-target baseline — the sketch heap column staying flat is the
-# bounded-memory claim) plus the GOMAXPROCS scaling matrix for the sharded
-# SPSC ingest path. Min-of-N like the other sections; the awk scans
+# bounded-memory claim). Min-of-N like the other sections; the awk scans
 # unit-tagged fields instead of positions because -benchmem and ReportMetric
-# ordering differ between the two benchmarks.
+# ordering differ.
 tmp6=$(mktemp)
 trap 'rm -f "$tmp" "$tmp2" "$tmp3" "$tmp5" "$tmp6"' EXIT
 
 if want pr6; then
 go test -run '^$' -bench 'BenchmarkAggCardinality' -benchmem \
     -benchtime "$benchtime" -count "$count" ./internal/features | tee "$tmp6"
-go test -run '^$' -bench 'BenchmarkParallelIngest' \
-    -benchtime "$benchtime" -count "$count" ./internal/features | tee -a "$tmp6"
 
 awk -v cores="$(nproc)" -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
 $1 ~ /^Benchmark/ {
@@ -227,12 +224,6 @@ function card(mode, mult,    n) {
     printf("    {\"mode\": \"%s\", \"mult\": %d, \"ns_per_op\": %g, \"peak_heap_bytes\": %g}",
         mode, mult, ns[n], hp[n])
 }
-function scale(procs,    n) {
-    n = "BenchmarkParallelIngest/procs=" procs
-    if (!first) printf(",\n")
-    first = 0
-    printf("    {\"procs\": %d, \"ns_per_op\": %g}", procs, ns[n])
-}
 END {
     printf "{\n  \"date\": \"%s\",\n  \"cores\": %d,\n", date, cores
     printf "  \"note\": \"min of N runs; one op = one minute of flows at 512*mult distinct targets\",\n"
@@ -246,11 +237,7 @@ END {
     h1 = hp["BenchmarkAggCardinality/sketch/x1"]
     h100 = hp["BenchmarkAggCardinality/sketch/x100"]
     printf("  \"sketch_throughput_vs_exact_x1\": %.3f,\n", s1 > 0 ? e1 / s1 : 0)
-    printf("  \"sketch_heap_growth_x1_to_x100\": %.3f,\n", h1 > 0 ? h100 / h1 : 0)
-    print  "  \"scaling\": ["
-    first = 1
-    scale(1); scale(2); scale(4); scale(8)
-    print "\n  ]\n}"
+    printf("  \"sketch_heap_growth_x1_to_x100\": %.3f\n}\n", h1 > 0 ? h100 / h1 : 0)
 }' "$tmp6" > BENCH_PR6.json
 
 echo "wrote BENCH_PR6.json ($(nproc) cores)"
