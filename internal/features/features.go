@@ -605,9 +605,23 @@ func (g *group) finish() *Aggregate {
 // appear in nearly every aggregate, so their per-aggregate WoE collapses to
 // noise around zero, while their flow-level WoE carries the strong
 // UDP-means-attack signal that transfers between vantage points.
+//
+// ObserveRecord is the single-record oracle for ObserveRecords, which is
+// the path training takes.
 func ObserveRecord(enc *woe.Encoder, rec *netflow.Record) {
 	for c := 0; c < NumCats; c++ {
 		enc.Observe(CatNames[c], catKey(c, rec), rec.Blackholed)
+	}
+}
+
+// ObserveRecords feeds every record's categorical values into the encoder,
+// one ObserveAll batch per domain. The counts equal those of ObserveRecord
+// over the records in any order, since counting commutes.
+func ObserveRecords(enc *woe.Encoder, recs []netflow.Record) {
+	for c := 0; c < NumCats; c++ {
+		enc.ObserveAll(CatNames[c], len(recs), func(i int) (uint64, bool) {
+			return catKey(c, &recs[i]), recs[i].Blackholed
+		})
 	}
 }
 

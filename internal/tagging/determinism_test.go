@@ -4,26 +4,12 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-
-	"github.com/ixp-scrubber/ixpscrubber/internal/balance"
-	"github.com/ixp-scrubber/ixpscrubber/internal/synth"
 )
 
-// minedTxs itemizes a seeded synthetic traffic window for mining tests.
+// minedTxs itemizes a seeded synthetic traffic window for mining tests,
+// one unit transaction per record.
 func minedTxs(seed uint64) []Transaction {
-	p := synth.ProfileUS1()
-	p.Seed = seed
-	g := synth.NewGenerator(p)
-	flows := g.Generate(0, 240)
-	balanced, _ := balance.Flows(seed, flows)
-	records := synth.Records(balanced)
-	txs := make([]Transaction, len(records))
-	var buf []Item
-	for i := range records {
-		items, bh := Itemize(&records[i], buf)
-		txs[i] = Transaction{Items: append([]Item(nil), items...), Blackholed: bh}
-	}
-	return txs
+	return perRecordTransactions(syntheticRecords(seed))
 }
 
 // TestMineFrequentWorkersIdentical proves the per-header-item fan-out of

@@ -64,18 +64,28 @@ func (t *fpTree) insert(items []Item, count, bhCount int) {
 	}
 }
 
-// Transaction pairs an itemization with its label.
+// Transaction pairs an itemization with its label. Count is the number of
+// records the transaction stands for; zero (the zero value) means one.
 type Transaction struct {
 	Items      []Item
 	Blackholed bool
+	Count      int
+}
+
+// weight returns the transaction's multiplicity.
+func (tx *Transaction) weight() int {
+	if tx.Count == 0 {
+		return 1
+	}
+	return tx.Count
 }
 
 // MineFrequent runs FP-Growth over the transactions and returns every
 // itemset whose support count is at least minCount, with blackhole
-// co-occurrence counts. Identical transactions should be pre-aggregated by
-// the caller for speed (see AggregateTransactions); they are also handled
-// correctly if not. The worker pool is sized from GOMAXPROCS; use
-// MineFrequentWorkers to pin it.
+// co-occurrence counts. Each transaction counts Count times, so collapsing
+// identical transactions into one weighted transaction (as Mine does)
+// mines the same itemsets faster. The worker pool is sized from
+// GOMAXPROCS; use MineFrequentWorkers to pin it.
 func MineFrequent(txs []Transaction, minCount int) []Itemset {
 	return MineFrequentWorkers(txs, minCount, 0)
 }
@@ -93,8 +103,9 @@ func MineFrequentWorkers(txs []Transaction, minCount, workers int) []Itemset {
 	// Global item frequencies.
 	freq := make(map[Item]int)
 	for i := range txs {
+		w := txs[i].weight()
 		for _, it := range txs[i].Items {
-			freq[it]++
+			freq[it] += w
 		}
 	}
 	tree := buildTree(txs, freq, minCount)
@@ -139,45 +150,26 @@ func buildTree(txs []Transaction, freq map[Item]int, minCount int) *fpTree {
 	for i := range t.headers {
 		t.index[t.headers[i].item] = i
 	}
-	// Deduplicate identical (filtered, ordered) transactions so each
-	// distinct path is inserted once with its multiplicity — flow header
-	// combinations repeat massively, so this collapses the input by orders
-	// of magnitude.
-	type weight struct{ count, bhCount int }
-	dedup := make(map[string]*weight)
-	order := make([]string, 0, 1024)
-	itemsOf := make(map[string][]Item)
-	var buf []Item
-	keyBuf := make([]byte, 0, 64)
+	var pos []int
+	var path []Item
 	for i := range txs {
-		buf = buf[:0]
+		pos = pos[:0]
 		for _, it := range txs[i].Items {
-			if _, ok := t.index[it]; ok {
-				buf = append(buf, it)
+			if hi, ok := t.index[it]; ok {
+				pos = append(pos, hi)
 			}
 		}
 		// Most-frequent-first path ordering maximizes prefix sharing.
-		sort.Slice(buf, func(a, b int) bool { return t.index[buf[a]] > t.index[buf[b]] })
-		keyBuf = keyBuf[:0]
-		for _, it := range buf {
-			keyBuf = append(keyBuf, byte(it>>24), byte(it>>16), byte(it>>8), byte(it))
+		sortDescending(pos)
+		path = path[:0]
+		for _, hi := range pos {
+			path = append(path, t.headers[hi].item)
 		}
-		k := string(keyBuf)
-		w := dedup[k]
-		if w == nil {
-			w = &weight{}
-			dedup[k] = w
-			order = append(order, k)
-			itemsOf[k] = append([]Item(nil), buf...)
-		}
-		w.count++
+		c, bh := txs[i].weight(), 0
 		if txs[i].Blackholed {
-			w.bhCount++
+			bh = c
 		}
-	}
-	for _, k := range order {
-		w := dedup[k]
-		t.insert(itemsOf[k], w.count, w.bhCount)
+		t.insert(path, c, bh)
 	}
 	return t
 }
@@ -251,14 +243,19 @@ func mineHeader(t *fpTree, hi int, suffix []Item, minCount int, out *[]Itemset) 
 	for i := range cond.headers {
 		cond.index[cond.headers[i].item] = i
 	}
+	var pos []int
 	for _, p := range paths {
-		kept := p.items[:0]
+		pos = pos[:0]
 		for _, it := range p.items {
-			if _, ok := cond.index[it]; ok {
-				kept = append(kept, it)
+			if hi, ok := cond.index[it]; ok {
+				pos = append(pos, hi)
 			}
 		}
-		sort.Slice(kept, func(a, b int) bool { return cond.index[kept[a]] > cond.index[kept[b]] })
+		sortDescending(pos)
+		kept := p.items[:0]
+		for _, hi := range pos {
+			kept = append(kept, cond.headers[hi].item)
+		}
 		cond.insert(kept, p.count, p.bhCount)
 	}
 	mine(cond, itemset, minCount, out)
@@ -268,4 +265,15 @@ func sortedCopy(items []Item) []Item {
 	out := append([]Item(nil), items...)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// sortDescending orders header positions most frequent (highest position)
+// first. Paths hold a handful of items, so an insertion sort beats
+// sort.Slice, whose reflection swapper dominated tree building.
+func sortDescending(pos []int) {
+	for i := 1; i < len(pos); i++ {
+		for j := i; j > 0 && pos[j] > pos[j-1]; j-- {
+			pos[j], pos[j-1] = pos[j-1], pos[j]
+		}
+	}
 }

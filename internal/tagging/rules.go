@@ -82,7 +82,8 @@ func DefaultMineOptions() MineOptions {
 
 // MiningReport describes the rule funnel of §5.1.1: all mined association
 // rules, the subset whose consequent is {blackhole}, and the set remaining
-// after Algorithm 1.
+// after Algorithm 1. Transactions counts records: the summed weight of the
+// mined transactions.
 type MiningReport struct {
 	Transactions        int
 	FrequentItemsets    int
@@ -96,18 +97,65 @@ type MiningReport struct {
 // consequent, and minimize with Algorithm 1. Returned rules are in staging
 // and sorted by descending support.
 func Mine(records []netflow.Record, opts MineOptions) ([]Rule, MiningReport) {
-	txs := make([]Transaction, len(records))
-	var buf []Item
-	for i := range records {
-		items, bh := Itemize(&records[i], buf)
-		txs[i] = Transaction{Items: append([]Item(nil), items...), Blackholed: bh}
-	}
-	return MineTransactions(txs, opts)
+	return MineTransactions(weightedTransactions(records), opts)
 }
 
-// MineTransactions is Mine for pre-itemized transactions.
+// maxItems bounds the length of an itemization: protocol, both ports and
+// size, or protocol, size and fragment.
+const maxItems = 4
+
+// txKey identifies one distinct itemization and its label. No item is zero
+// (every field is at least 1), so zero padding ends a shorter itemization.
+type txKey struct {
+	items [maxItems]Item
+	bh    bool
+}
+
+// weightedTransactions itemizes the records and collapses identical
+// (items, label) pairs into one transaction whose Count is their
+// multiplicity, in first-occurrence order. A window of ~80k records holds
+// about a thousand distinct pairs, so mining then walks a thousand
+// transactions instead of one per record.
+func weightedTransactions(records []netflow.Record) []Transaction {
+	type distinct struct {
+		key   txKey
+		n     int
+		count int
+	}
+	index := make(map[txKey]int)
+	var ds []distinct
+	var buf [maxItems]Item
+	for i := range records {
+		items, bh := Itemize(&records[i], buf[:0])
+		if len(items) > maxItems {
+			panic("tagging: itemization longer than maxItems")
+		}
+		k := txKey{bh: bh}
+		copy(k.items[:], items)
+		j, ok := index[k]
+		if !ok {
+			j = len(ds)
+			index[k] = j
+			ds = append(ds, distinct{key: k, n: len(items)})
+		}
+		ds[j].count++
+	}
+	// The item slices alias ds, which is complete: one allocation for all.
+	txs := make([]Transaction, len(ds))
+	for j := range ds {
+		d := &ds[j]
+		txs[j] = Transaction{Items: d.key.items[:d.n:d.n], Blackholed: d.key.bh, Count: d.count}
+	}
+	return txs
+}
+
+// MineTransactions is Mine for pre-itemized transactions, each counting
+// Count times.
 func MineTransactions(txs []Transaction, opts MineOptions) ([]Rule, MiningReport) {
-	rep := MiningReport{Transactions: len(txs)}
+	var rep MiningReport
+	for i := range txs {
+		rep.Transactions += txs[i].weight()
+	}
 	if len(txs) == 0 {
 		return nil, rep
 	}
@@ -127,7 +175,7 @@ func MineTransactions(txs []Transaction, opts MineOptions) ([]Rule, MiningReport
 		bySig[sig(itemsets[i].Items)] = &itemsets[i]
 	}
 
-	n := float64(len(txs))
+	n := float64(rep.Transactions)
 	var rules []Rule
 	for i := range itemsets {
 		s := &itemsets[i]

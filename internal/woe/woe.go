@@ -30,9 +30,10 @@ import (
 // The read path is lock-free: Fit publishes the fitted tables (with
 // overrides folded in) as an immutable snapshot behind an atomic pointer,
 // so WoE in the predict hot loop is a plain map read with no mutex
-// acquisition. Observe, Override and the other mutators take the mutex,
-// update the counts and invalidate or republish the snapshot; a WoE call
-// that finds no snapshot falls back to the locked path and publishes one.
+// acquisition. Observe, ObserveAll, Override and the other mutators take
+// the mutex, update the counts and invalidate or republish the snapshot; a
+// WoE call that finds no snapshot falls back to the locked path and
+// publishes one.
 // All paths are safe for concurrent use, though a read racing an Observe
 // may see the previous fit (the same lag a locked lazy refit would show).
 type Encoder struct {
@@ -109,6 +110,35 @@ func (e *Encoder) Observe(domainName string, key uint64, label bool) {
 		d.neg[key]++
 		e.negTotal++
 	}
+	e.dirty = true
+	e.snap.Store(nil) // stale: readers fall back to the locked path
+}
+
+// ObserveAll counts n observations in one domain, where obs(i) returns the
+// i-th value and its label. It is n Observe calls that take the mutex,
+// resolve the domain, add to the label totals and invalidate the snapshot
+// once for the whole batch; an empty batch changes nothing. obs runs under
+// the encoder's lock and must not call back into the encoder.
+func (e *Encoder) ObserveAll(domainName string, n int, obs func(i int) (key uint64, label bool)) {
+	if n <= 0 {
+		return
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	d := e.domain(domainName)
+	var pos, neg uint64
+	for i := 0; i < n; i++ {
+		key, label := obs(i)
+		if label {
+			d.pos[key]++
+			pos++
+		} else {
+			d.neg[key]++
+			neg++
+		}
+	}
+	e.posTotal += pos
+	e.negTotal += neg
 	e.dirty = true
 	e.snap.Store(nil) // stale: readers fall back to the locked path
 }
