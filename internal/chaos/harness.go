@@ -16,14 +16,13 @@ import (
 
 	"github.com/ixp-scrubber/ixpscrubber/internal/acl"
 	"github.com/ixp-scrubber/ixpscrubber/internal/bgp"
-	"github.com/ixp-scrubber/ixpscrubber/internal/core"
-	"github.com/ixp-scrubber/ixpscrubber/internal/features"
 	"github.com/ixp-scrubber/ixpscrubber/internal/ixpsim"
 	"github.com/ixp-scrubber/ixpscrubber/internal/netflow"
 	"github.com/ixp-scrubber/ixpscrubber/internal/obs"
 	"github.com/ixp-scrubber/ixpscrubber/internal/packet"
 	"github.com/ixp-scrubber/ixpscrubber/internal/par"
 	modelreg "github.com/ixp-scrubber/ixpscrubber/internal/registry"
+	"github.com/ixp-scrubber/ixpscrubber/internal/segment"
 	"github.com/ixp-scrubber/ixpscrubber/internal/sflow"
 	"github.com/ixp-scrubber/ixpscrubber/internal/synth"
 )
@@ -35,8 +34,9 @@ import (
 // reproducible run over run.
 const samplesPerDatagram = 16
 
-// defaultStartMin anchors simulated time (2021-01-01 UTC in unix minutes).
-const defaultStartMin = 26_830_080
+// DefaultStartMin anchors simulated time for scenarios that leave StartMin
+// zero (2021-01-01 UTC in unix minutes).
+const DefaultStartMin = 26_830_080
 
 // Scenario scripts one deterministic chaos run. The zero value of every
 // fault field means "healthy"; a scenario turns on the faults it is about.
@@ -68,7 +68,7 @@ type Scenario struct {
 	DupTruncate bool
 	DupGarbage  bool
 	// SocketErrAt injects a fatal read error into the collector socket
-	// before those minutes; the supervisor must replace the socket.
+	// before those minutes; the listener's supervisor must replace it.
 	SocketErrAt []int64
 	// KillBGPAt drops the member's BGP session before those minutes; the
 	// persistent session must reconnect and replay its desired state.
@@ -234,7 +234,7 @@ func (o *Outcome) ExactKey() string {
 			r.Minute, r.Skipped, r.Records, r.Aggregates, r.RulesMined, r.Flagged, r.ACLDigest,
 			r.Seq, r.Promoted, r.Shadowed)
 	}
-	fmt.Fprintf(&b, "acl-file=%016x\n", TextDigest(o.ACLFile))
+	fmt.Fprintf(&b, "acl-file=%016x\n", netflow.FoldString(netflow.FNVOffset, o.ACLFile))
 	return b.String()
 }
 
@@ -281,7 +281,9 @@ func instantBackoff() *par.Backoff {
 // errScriptedSocket is the fault SocketErrAt injects.
 var errScriptedSocket = fmt.Errorf("chaos: scripted socket failure")
 
-// Harness wires the full production pipeline to scripted fault injectors.
+// Harness wires the full production pipeline — assembled by segment.New
+// from an sflow -> scrubber config, exactly as scrubberd assembles it — to
+// scripted fault injectors.
 type Harness struct {
 	sc  Scenario
 	dir string
@@ -295,20 +297,21 @@ type Harness struct {
 	registry *bgp.Registry
 	rsDone   chan error
 	member   *bgp.Persistent
-	pipe     *ixpsim.Pipeline
+	seg      *segment.Pipeline
+	pipe     *ixpsim.Pipeline // the scrubber segment's detection chain
+	colStats *sflow.CollectorStats
 	fs       *FlakyFS
 	models   *modelreg.Registry
 	outage   *OutageFS
 
-	collector *sflow.Collector
-	// conns hands replacement sockets to the collector supervisor. It is
-	// unbuffered, so a send completes only once the supervisor has counted
-	// the previous socket's death and come back for the next one.
-	conns       chan *PacketConn
-	cur         *PacketConn
-	colWG       sync.WaitGroup
-	colRestarts atomic.Uint64
-	armPanic    atomic.Bool
+	// conns hands replacement sockets to the listener's supervisor through
+	// Env.ListenPacket. It is unbuffered, so a send completes only once the
+	// supervisor has counted the previous socket's death and come back for
+	// the next one.
+	conns    chan *PacketConn
+	cur      *PacketConn
+	listens  atomic.Uint64 // Env.ListenPacket calls; all but the first are restarts
+	armPanic atomic.Bool
 
 	digMu   sync.Mutex
 	digests map[int64]uint64
@@ -342,7 +345,7 @@ func Run(parent context.Context, sc Scenario, dir string) (*Outcome, error) {
 		sc.Profile = DefaultProfile()
 	}
 	if sc.StartMin == 0 {
-		sc.StartMin = defaultStartMin
+		sc.StartMin = DefaultStartMin
 	}
 	if sc.QueueCap <= 0 {
 		sc.QueueCap = 64
@@ -367,8 +370,8 @@ func Run(parent context.Context, sc Scenario, dir string) (*Outcome, error) {
 func (h *Harness) aclPath() string        { return filepath.Join(h.dir, "acl.txt") }
 func (h *Harness) checkpointPath() string { return filepath.Join(h.dir, "checkpoint.json") }
 
-// start brings up the full stack: route server, pipeline, supervised
-// collector, persistent member session.
+// start brings up the full stack: route server, the segment pipeline
+// (supervised sFlow listener -> scrubber), persistent member session.
 func (h *Harness) start() error {
 	sc := h.sc
 	log := slog.New(slog.DiscardHandler)
@@ -392,7 +395,8 @@ func (h *Harness) start() error {
 	h.rsDone = make(chan error, 1)
 	go func() { h.rsDone <- rs.Serve(h.ctx, rsLn) }()
 
-	// Pipeline: bounded queue -> balancer -> window -> model -> ACL writer.
+	// Pipeline: sflow listener -> scrubber (bounded queue -> balancer ->
+	// window -> model -> ACL writer).
 	ckpt := ""
 	if sc.Checkpoint || sc.Restore {
 		ckpt = h.checkpointPath()
@@ -420,86 +424,66 @@ func (h *Harness) start() error {
 		models.Writer().Backoff = instantBackoff()
 		h.models = models
 	}
-	var coreCfg *core.Config
+	scrub := map[string]any{
+		"seed":        sc.Profile.Seed,
+		"window":      24 * time.Hour,
+		"queue-cap":   sc.QueueCap,
+		"drop-policy": sc.Drop.String(),
+		"min-train":   64,
+		"acl":         h.aclPath(),
+		"checkpoint":  ckpt,
+		"shadow":      sc.Shadow,
+		"drop":        sc.Dropper,
+	}
 	if sc.SketchBudget > 0 {
-		cc := core.DefaultConfig()
-		cc.Sketch = &features.SketchConfig{Budget: sc.SketchBudget}
-		coreCfg = &cc
+		scrub["sketch"] = true
+		scrub["sketch-budget"] = sc.SketchBudget
 	}
-	cfg := ixpsim.PipelineConfig{
-		Seed:            sc.Profile.Seed,
-		Window:          24 * time.Hour,
-		Core:            coreCfg,
-		QueueCap:        sc.QueueCap,
-		DropPolicy:      sc.Drop,
-		MinTrainRecords: 64,
-		ACLPath:         h.aclPath(),
-		CheckpointPath:  ckpt,
-		Clock:           h.clock.Now,
-		Metrics:         h.reg,
-		Log:             log,
-		KeepHook:        h.keepHook,
-		ConsumeGate:     h.gate.Wait,
-		Registry:        h.models,
-		Shadow:          sc.Shadow,
-		Drop:            sc.Dropper,
-	}
-	if sc.Shadow {
-		// Scripted promotions only: with auto-promotion disabled, PromoteAt
-		// is the single path a challenger takes to champion, so which model
-		// serves each round is exact.
-		cfg.Promotion = ixpsim.PromotionPolicy{MaxDisagreement: -1}
+	cfg := &segment.Config{Name: "chaos:" + sc.Name, Pipeline: []segment.SegmentConfig{
+		{Kind: "sflow", Params: map[string]any{"batch": samplesPerDatagram, "flush": 50 * time.Millisecond}},
+		{Kind: "scrubber", Params: scrub},
+	}}
+	env := segment.Env{
+		Log:          log,
+		Metrics:      h.reg,
+		Label:        h.label,
+		Clock:        h.clock.Now,
+		ListenPacket: h.listenPacket,
+		PipelineHook: func(pc *ixpsim.PipelineConfig) {
+			pc.KeepHook = h.keepHook
+			pc.ConsumeGate = h.gate.Wait
+			pc.Registry = h.models
+			if sc.Shadow {
+				// Scripted promotions only: with auto-promotion disabled,
+				// PromoteAt is the single path a challenger takes to champion,
+				// so which model serves each round is exact.
+				pc.Promotion = ixpsim.PromotionPolicy{MaxDisagreement: -1}
+			}
+		},
 	}
 	if h.fs != nil {
-		cfg.FS = h.fs
+		env.FS = h.fs
 	}
-	h.pipe = ixpsim.NewPipeline(cfg)
+	seg, err := segment.New(env, cfg)
+	if err != nil {
+		return fmt.Errorf("chaos: assembling pipeline: %w", err)
+	}
+	h.seg = seg
+	h.pipe = seg.Scrubber()
 	h.pipe.Writer().Backoff = instantBackoff()
-	if sc.Restore {
-		restored, err := h.pipe.RestoreCheckpoint()
-		if err != nil {
-			return fmt.Errorf("chaos: restoring checkpoint: %w", err)
-		}
-		if !restored {
-			return fmt.Errorf("chaos: no checkpoint to restore in %s", h.dir)
-		}
-	}
-	h.pipe.Start(h.ctx)
-
-	// Supervised collector on the in-memory socket.
-	h.collector = &sflow.Collector{
-		Label: func(ip netip.Addr, at int64) bool {
-			if h.armPanic.CompareAndSwap(true, false) {
-				panic("chaos: scripted label fault")
-			}
-			return h.registry.Covered(ip, at)
-		},
-		EmitBatch: h.pipe.EmitBatch,
-		BatchSize: samplesPerDatagram,
-		Clock:     h.clock.Now,
-		Log:       log,
-	}
-	h.collector.RegisterMetrics(h.reg)
+	h.colStats = &seg.Instances()[0].(interface{ Collector() *sflow.Collector }).Collector().Stats
 	h.conns = make(chan *PacketConn)
 	h.cur = NewPacketConn()
-	h.colWG.Add(1)
-	go func(conn *PacketConn) {
-		defer h.colWG.Done()
-		for {
-			err := h.collector.Listen(h.ctx, conn)
-			if err == nil || h.ctx.Err() != nil {
-				return
-			}
-			// The socket died; count the restart and wait for its
-			// replacement. The collector keeps its partial batch.
-			h.colRestarts.Add(1)
-			select {
-			case conn = <-h.conns:
-			case <-h.ctx.Done():
-				return
-			}
-		}
-	}(h.cur)
+	// Start restores the checkpoint (if any) before the consumer runs.
+	if err := seg.Start(h.ctx); err != nil {
+		return fmt.Errorf("chaos: starting pipeline: %w", err)
+	}
+	if sc.Restore && h.pipe.Ingested() == 0 {
+		// A restored checkpoint carries the ingested count in; zero means
+		// nothing was restored.
+		h.seg.Close()
+		return fmt.Errorf("chaos: no checkpoint to restore in %s", h.dir)
+	}
 
 	// Persistent member session announcing blackholes.
 	h.member = &bgp.Persistent{
@@ -512,14 +496,38 @@ func (h *Harness) start() error {
 	return h.member.Connect(h.ctx)
 }
 
+// label is the collector's blackhole labeler, armed to panic once where
+// the scenario scripts a label fault.
+func (h *Harness) label(ip netip.Addr, at int64) bool {
+	if h.armPanic.CompareAndSwap(true, false) {
+		panic("chaos: scripted label fault")
+	}
+	return h.registry.Covered(ip, at)
+}
+
+// listenPacket hands the listener its sockets: the first call gets the
+// initial conn; every later one is a supervisor restart, counted, and
+// blocks until breakSocket hands over the replacement.
+func (h *Harness) listenPacket(string, string) (net.PacketConn, error) {
+	if h.listens.Add(1) == 1 {
+		return h.cur, nil
+	}
+	select {
+	case conn := <-h.conns:
+		return conn, nil
+	case <-h.ctx.Done():
+		return nil, h.ctx.Err()
+	}
+}
+
 func (h *Harness) keepHook(r netflow.Record) {
 	m := r.Timestamp / 60
 	h.digMu.Lock()
 	d, ok := h.digests[m]
 	if !ok {
-		d = fnvOffset
+		d = netflow.FNVOffset
 	}
-	h.digests[m] = foldRecord(d, &r)
+	h.digests[m] = netflow.FoldRecord(d, &r)
 	h.kept++
 	h.digMu.Unlock()
 }
@@ -700,7 +708,7 @@ func (h *Harness) replay() (*Outcome, error) {
 				Records:    round.Records,
 				Aggregates: round.Aggregates,
 				RulesMined: round.RulesMined,
-				ACLDigest:  TextDigest(round.ACLText),
+				ACLDigest:  netflow.FoldString(netflow.FNVOffset, round.ACLText),
 				Seq:        round.Seq,
 				Promoted:   round.Promoted,
 				Shadowed:   round.Shadowed,
@@ -776,8 +784,8 @@ func (h *Harness) injectSkewed(abs int64) error {
 }
 
 // breakSocket kills the collector's socket with a scripted read error and
-// hands the supervisor a replacement, which it takes only after counting
-// the restart.
+// hands the listener's supervisor a replacement, which it takes only after
+// counting the restart.
 func (h *Harness) breakSocket() error {
 	h.cur.InjectError(errScriptedSocket)
 	h.cur = NewPacketConn()
@@ -812,7 +820,7 @@ func (h *Harness) settle(waitQueue bool) error {
 			return fmt.Errorf("settling queue: %w", err)
 		}
 	}
-	if got, want := h.collector.Stats.Records.Load(), h.sentSamples-h.panicLost; got != want {
+	if got, want := h.colStats.Records.Load(), h.sentSamples-h.panicLost; got != want {
 		return fmt.Errorf("collector emitted %d records, want %d (%d samples sent, %d lost to scripted panics)",
 			got, want, h.sentSamples, h.panicLost)
 	}
@@ -835,7 +843,7 @@ func (h *Harness) collect(out *Outcome) {
 	out.DroppedBatches = qs.DroppedBatches.Load()
 	out.DroppedRecords = qs.DroppedRecords.Load()
 
-	cs := &h.collector.Stats
+	cs := h.colStats
 	out.Datagrams = cs.Datagrams.Load()
 	out.Samples = cs.Samples.Load()
 	out.Records = cs.Records.Load()
@@ -848,7 +856,7 @@ func (h *Harness) collect(out *Outcome) {
 	out.Reconnects = h.member.Reconnects()
 	out.DialFailures = h.member.DialFailures()
 	out.SendFailures = h.member.SendFailures()
-	out.CollectorRestarts = h.colRestarts.Load()
+	out.CollectorRestarts = h.listens.Load() - 1
 	w := h.pipe.Writer()
 	out.WriterRetries = w.Retries.Load()
 	out.WriterWrites = w.Writes.Load()
@@ -889,11 +897,13 @@ func (h *Harness) collect(out *Outcome) {
 // stop tears the stack down and waits for every goroutine.
 func (h *Harness) stop() error {
 	h.gate.Open()
-	h.pipe.Stop()
+	segErr := h.seg.Close()
 	err := h.member.Close()
 	h.cancel()
-	h.colWG.Wait()
 	rsErr := <-h.rsDone
+	if segErr != nil {
+		return fmt.Errorf("chaos: pipeline close: %w", segErr)
+	}
 	if err != nil && !isBenignClose(err) {
 		return fmt.Errorf("chaos: member close: %w", err)
 	}

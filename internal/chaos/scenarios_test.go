@@ -10,6 +10,7 @@ import (
 
 	"github.com/ixp-scrubber/ixpscrubber/internal/chaos"
 	"github.com/ixp-scrubber/ixpscrubber/internal/netflow"
+	"github.com/ixp-scrubber/ixpscrubber/internal/synth"
 )
 
 // The scenario matrix shares one traffic script (same profile, minutes and
@@ -92,6 +93,27 @@ func TestChaosScenarios(t *testing.T) {
 	}
 	if ref.ACLFile == "" {
 		t.Fatal("reference run published no ACL file")
+	}
+	// Labels come from the live BGP session: the collector's blackholed
+	// count must match the generator's ground truth for the same minutes.
+	truth := 0
+	gen := synth.NewGenerator(chaos.DefaultProfile())
+	for _, f := range gen.Generate(chaos.DefaultStartMin, chaos.DefaultStartMin+scenarioMinutes) {
+		if f.Blackholed {
+			truth++
+		}
+	}
+	if truth == 0 {
+		t.Fatal("ground truth has no blackholed flows; profile too quiet")
+	}
+	if got := metricValue(t, ref.Metrics, `ixps_collector_blackholed_total{proto="sflow"}`); got < 0.8*float64(truth) || got > 1.2*float64(truth) {
+		t.Errorf("live blackholed = %v, ground truth = %d (outside ±20%%)", got, truth)
+	}
+	// The balancer keeps every blackholed record plus a benign sample of up
+	// to the same size, so the kept stream stays near half blackholed.
+	kept := metricValue(t, ref.Metrics, "ixps_balancer_records_kept_total")
+	if share := metricValue(t, ref.Metrics, "ixps_balancer_blackholed_kept_total") / kept; share < 0.35 || share > 0.70 {
+		t.Errorf("balanced blackhole share = %.3f, want in [0.35, 0.70]", share)
 	}
 
 	scenarios := []struct {

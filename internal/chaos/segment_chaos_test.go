@@ -42,7 +42,7 @@ func TestSegmentDiskbufferCrashRestart(t *testing.T) {
 	gen := synth.NewGenerator(prof)
 	var flows []synth.Flow
 	for m := int64(0); m < 4; m++ {
-		flows = gen.GenerateMinute(defaultStartMin+m, flows)
+		flows = gen.GenerateMinute(DefaultStartMin+m, flows)
 	}
 	f, err := os.Create(dataset)
 	if err != nil {
@@ -153,7 +153,7 @@ func TestSegmentDiskbufferCrashRestart(t *testing.T) {
 	}
 	if string(got) != want.String() {
 		t.Fatalf("recovered archive diverges from the journaled stream: %d vs %d bytes (digest %x vs %x)",
-			len(got), want.Len(), TextDigest(string(got)), TextDigest(want.String()))
+			len(got), want.Len(), netflow.FoldString(netflow.FNVOffset, string(got)), netflow.FoldString(netflow.FNVOffset, want.String()))
 	}
 
 	CheckGoroutines(t, baseline)

@@ -1,3 +1,11 @@
+// Package ixpsim is the detection pipeline downstream of the flow
+// collectors: a bounded ingest queue, the per-minute balancer, the sliding
+// training window, the two-step model with its champion/challenger
+// lifecycle, the optional inline dropper, and atomic ACL and checkpoint
+// publication. The segment package's scrubber segment runs it; sockets,
+// decoding and BGP labeling live upstream of it, in the segment inputs.
+// SyncBGPWith is the BGP marker round-trip the chaos harness uses to settle
+// the blackhole registry between simulated minutes.
 package ixpsim
 
 import (
@@ -130,9 +138,9 @@ type Round struct {
 
 // Pipeline is the daemon's processing chain between the collector sockets
 // and the ACL files: bounded ingest queue -> per-minute balancer -> sliding
-// window -> two-step model -> atomic ACL publication. It exists apart from
-// cmd/scrubberd so the chaos harness can drive the identical production
-// path under fault injection.
+// window -> two-step model -> atomic ACL publication. The segment
+// package's scrubber segment runs it, so cmd/scrubberd and the chaos
+// harness drive the identical production path.
 //
 // Failure behavior: a failed training round rolls the rule set back and
 // keeps the previously fitted model serving (graceful degradation); ACL and

@@ -81,7 +81,7 @@ func BenchmarkHandoffSegment(b *testing.B) {
 		{Kind: "sflow"},
 		{Kind: "scrubber", Params: map[string]any{"drop-policy": "block"}},
 	}}
-	env := Env{Clock: func() int64 { return segStart * 60 }, ListenPacket: chaosListen}
+	env := Env{Clock: func() int64 { return segStart * 60 }, ListenPacket: idleListen}
 	recs := benchBatch()
 	want := uint64(benchBatchesPerOp * len(recs))
 	b.SetBytes(int64(want))

@@ -15,6 +15,7 @@ import (
 	"github.com/ixp-scrubber/ixpscrubber/internal/ipfix"
 	"github.com/ixp-scrubber/ixpscrubber/internal/netflow"
 	"github.com/ixp-scrubber/ixpscrubber/internal/packet"
+	"github.com/ixp-scrubber/ixpscrubber/internal/par"
 	"github.com/ixp-scrubber/ixpscrubber/internal/sflow"
 )
 
@@ -31,15 +32,35 @@ func (s *passThrough) EmitBatch(recs []netflow.Record) {
 
 // --- sflow / ipfix listeners -------------------------------------------
 
-// listenerSegment runs one UDP collector (sFlow or IPFIX) as an input.
+// Listener restart schedule: the first re-open waits restartBase, doubling
+// per consecutive failure up to restartMax. A socket that stayed up longer
+// than restartMax starts the schedule over.
+const (
+	restartBase = 50 * time.Millisecond
+	restartMax  = 5 * time.Second
+)
+
+// listenerSegment runs one UDP collector (sFlow or IPFIX) as an input,
+// under a supervisor that re-opens the socket when a read error kills it.
 type listenerSegment struct {
 	passThrough
 	b      *builder
 	addr   string
 	listen func(ctx context.Context, conn net.PacketConn) error
-	conn   net.PacketConn
+	flush  func()
+	cancel context.CancelFunc
 	wg     sync.WaitGroup
 }
+
+// sflowSegment is the sFlow listener; it exposes its collector so hosts
+// can read the decode counters.
+type sflowSegment struct {
+	listenerSegment
+	c *sflow.Collector
+}
+
+// Collector returns the segment's sFlow collector.
+func (s *sflowSegment) Collector() *sflow.Collector { return s.c }
 
 func buildSflow(b *builder, sc *SegmentConfig, next EmitFunc) (Instance, error) {
 	c := &sflow.Collector{
@@ -53,10 +74,10 @@ func buildSflow(b *builder, sc *SegmentConfig, next EmitFunc) (Instance, error) 
 	if b.env.Metrics != nil {
 		c.RegisterMetrics(b.env.Metrics)
 	}
-	return &listenerSegment{
+	return &sflowSegment{listenerSegment: listenerSegment{
 		passThrough: passThrough{next: next},
-		b:           b, addr: sc.Str("listen"), listen: c.Listen,
-	}, nil
+		b:           b, addr: sc.Str("listen"), listen: c.Listen, flush: c.Flush,
+	}, c: c}, nil
 }
 
 func buildIpfix(b *builder, sc *SegmentConfig, next EmitFunc) (Instance, error) {
@@ -72,7 +93,7 @@ func buildIpfix(b *builder, sc *SegmentConfig, next EmitFunc) (Instance, error) 
 	}
 	return &listenerSegment{
 		passThrough: passThrough{next: next},
-		b:           b, addr: sc.Str("listen"), listen: c.Listen,
+		b:           b, addr: sc.Str("listen"), listen: c.Listen, flush: c.Flush,
 	}, nil
 }
 
@@ -81,24 +102,81 @@ func (s *listenerSegment) Start(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	s.conn = conn
-	log := s.b.env.log()
-	log.Info("segment listener up", "addr", conn.LocalAddr())
+	s.b.env.log().Info("segment listener up", "addr", conn.LocalAddr())
+	ctx, s.cancel = context.WithCancel(ctx)
 	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		if err := s.listen(ctx, conn); err != nil {
-			log.Error("segment listener failed", "addr", s.addr, "err", err)
-		}
-	}()
+	go s.supervise(ctx, conn)
 	return nil
 }
 
+// supervise runs the collector on conn until the segment stops. When a read
+// error kills the socket, it waits out the restart backoff, re-opens the
+// address the first socket bound (so a ":0" listener keeps its port) and
+// listens again. The collector keeps its pending partial batch across the
+// restart; if the segment stops before a new socket arrives, the batch is
+// flushed downstream instead.
+func (s *listenerSegment) supervise(ctx context.Context, conn net.PacketConn) {
+	defer s.wg.Done()
+	log := s.b.env.log()
+	bound := conn.LocalAddr().String()
+	backoff := par.NewBackoff(0)
+	backoff.Base, backoff.Max = restartBase, restartMax
+	for {
+		up := time.Now()
+		err := s.listen(ctx, conn)
+		if err == nil || ctx.Err() != nil {
+			return
+		}
+		if time.Since(up) > restartMax {
+			backoff.Reset()
+		}
+		log.Error("segment listener failed; re-opening", "addr", bound, "err", err)
+		for conn = nil; conn == nil; {
+			if backoff.Wait(ctx) != nil {
+				s.flush()
+				return
+			}
+			if conn, err = s.reopen(ctx, bound); err != nil && ctx.Err() == nil {
+				log.Error("segment listener re-open failed", "addr", bound, "err", err)
+			}
+		}
+		log.Info("segment listener re-opened", "addr", conn.LocalAddr())
+	}
+}
+
+// reopen calls Env.ListenPacket without holding up shutdown: if the segment
+// stops first, reopen returns at once and a socket that arrives later is
+// closed unused.
+func (s *listenerSegment) reopen(ctx context.Context, addr string) (net.PacketConn, error) {
+	type opened struct {
+		conn net.PacketConn
+		err  error
+	}
+	ch := make(chan opened)
+	go func() {
+		conn, err := s.b.env.listenPacket("udp", addr)
+		select {
+		case ch <- opened{conn, err}:
+		case <-ctx.Done():
+			if conn != nil {
+				conn.Close()
+			}
+		}
+	}()
+	select {
+	case o := <-ch:
+		return o.conn, o.err
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// Close stops the supervisor. Listen treats the canceled context as clean
+// shutdown: it closes the socket, flushes the pending partial batch and
+// returns.
 func (s *listenerSegment) Close() error {
-	if s.conn != nil {
-		// Listen treats a closed conn as clean shutdown: it flushes the
-		// pending partial batch and returns.
-		_ = s.conn.Close()
+	if s.cancel != nil {
+		s.cancel()
 	}
 	s.wg.Wait()
 	return nil

@@ -2,7 +2,6 @@ package segment
 
 import (
 	"context"
-	"net"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -11,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/ixp-scrubber/ixpscrubber/internal/chaos"
 	"github.com/ixp-scrubber/ixpscrubber/internal/ixpsim"
 	"github.com/ixp-scrubber/ixpscrubber/internal/netflow"
 	"github.com/ixp-scrubber/ixpscrubber/internal/obs"
@@ -35,12 +33,6 @@ func segProfile() synth.Profile {
 	p.EpisodeDurMeanMin = 6
 	p.AttackFlowsPerMin = 24
 	return p
-}
-
-// chaosListen hands out in-memory packet conns, so pipeline tests never
-// bind real sockets.
-func chaosListen(string, string) (net.PacketConn, error) {
-	return chaos.NewPacketConn(), nil
 }
 
 // feedMinutes streams the profile's traffic minute by minute into emit (one
@@ -112,7 +104,7 @@ func TestConfigEquivalentToHardwired(t *testing.T) {
 	}
 	cfg.Pipeline[1].Params["acl"] = filepath.Join(segDir, "acls.txt")
 	cfg.Pipeline[1].Params["checkpoint"] = filepath.Join(segDir, "scrubber.ckpt")
-	p, err := New(Env{Clock: clk, ListenPacket: chaosListen}, cfg)
+	p, err := New(Env{Clock: clk, ListenPacket: idleListen}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +336,7 @@ func TestDiskbufferCrashRestart(t *testing.T) {
 		{Kind: "diskbuffer", Params: map[string]any{"dir": dir}},
 		{Kind: "metrics"},
 	}}
-	env := Env{ListenPacket: chaosListen}
+	env := Env{ListenPacket: idleListen}
 	ctx := context.Background()
 
 	// Run 1: feed, then crash without a clean Close.
@@ -469,7 +461,7 @@ func TestSampleCSVChain(t *testing.T) {
 		{Kind: "csv", Params: map[string]any{"path": csvPath}},
 		{Kind: "metrics"},
 	}}
-	p, err := New(Env{ListenPacket: chaosListen}, cfg)
+	p, err := New(Env{ListenPacket: idleListen}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

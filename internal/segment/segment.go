@@ -54,13 +54,14 @@ type Env struct {
 	// FS indirects ACL/checkpoint writes (fault injection); nil is the
 	// real filesystem.
 	FS acl.FS
-	// ListenPacket opens listener sockets; nil means net.ListenPacket.
-	// The chaos harness hands out in-memory conns here.
+	// ListenPacket opens listener sockets, and re-opens them after a read
+	// error kills one; nil means net.ListenPacket. The chaos harness hands
+	// out in-memory conns here.
 	ListenPacket func(network, addr string) (net.PacketConn, error)
 	// PipelineHook, when set, edits the scrubber segment's assembled
 	// ixpsim.PipelineConfig before construction — the escape hatch the
-	// chaos harness and cluster use for KeepHook, ConsumeGate, Core,
-	// Registry and promotion policy injection.
+	// chaos harness uses for KeepHook, ConsumeGate, Registry and promotion
+	// policy injection.
 	PipelineHook func(*ixpsim.PipelineConfig)
 }
 
